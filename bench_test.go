@@ -50,13 +50,13 @@ func finalAvg(r experiments.Result, series int) float64 {
 	return s.Avg[len(s.Avg)-1]
 }
 
-// BenchmarkEngine pits the async multi-device execution engine against the
-// serialized single-device strategy on the same job set and seed: per worker
-// count it reports the virtual-time makespan speedup (the §5.3.2 strategy
-// comparison on an α=0.35 pool) and the wall-clock speedup (each simulated
-// training sleeps TrainDelay, so engine concurrency is real). Final best
-// models must be identical between the two runs — the engine changes the
-// schedule, never the answers.
+// BenchmarkEngine pits the service's in-process workers (multi-device)
+// against the serialized single-device strategy on the same job set and
+// seed: per worker count it reports the virtual-time makespan speedup (the
+// §5.3.2 strategy comparison on an α=0.35 pool) and the wall-clock speedup
+// (each simulated training sleeps TrainDelay, so worker concurrency is
+// real). Final best models must be identical between the two runs — the
+// workers change the schedule, never the answers.
 func BenchmarkEngine(b *testing.B) {
 	const (
 		gpus       = 24
@@ -106,8 +106,11 @@ func BenchmarkEngine(b *testing.B) {
 				engineWall += sum.Wall
 				virtualSpeedup = sum.Speedup
 				utilization = sum.Utilization
+				if err := eng.Close(); err != nil {
+					b.Fatal(err)
+				}
 
-				// The engine must not change the answers.
+				// The workers must not change the answers.
 				for j := range serialIDs {
 					sa, err := serial.Status(serialIDs[j])
 					if err != nil {
@@ -119,7 +122,7 @@ func BenchmarkEngine(b *testing.B) {
 					}
 					if sa.Best == nil || sb.Best == nil || sa.Best.Name != sb.Best.Name ||
 						sa.Best.Accuracy != sb.Best.Accuracy {
-						b.Fatalf("job %d best diverged: serial %+v vs engine %+v", j, sa.Best, sb.Best)
+						b.Fatalf("job %d best diverged: serial %+v vs in-process %+v", j, sa.Best, sb.Best)
 					}
 				}
 			}

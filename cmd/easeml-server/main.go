@@ -6,7 +6,7 @@
 // Usage:
 //
 //	easeml-server [-addr :9000] [-gpus 24] [-seed 1] [-alpha 0.9]
-//	              [-workers 0] [-batch 0] [-data-dir DIR]
+//	              [-workers 0] [-data-dir DIR]
 //	              [-wal-segment-bytes 4194304] [-wal-sync-interval 2ms]
 //	              [-fleet-addr ADDR] [-lease-ttl 10s] [-speculative]
 //	              [-quota-config FILE] [-max-inflight 0] [-pprof]
@@ -14,12 +14,13 @@
 //	              [-log-format text|json] [-log-level info] [-slow-op 100ms]
 //	              [-trace-buffer 4096] [-version]
 //
-// With -workers N > 0 the async execution engine starts at boot: N
-// concurrent trainers lease work through the scheduler's two-phase API and
-// keep the pool busy, with at most -batch leases in flight (default 2×N).
-// The engine is controlled at runtime via POST /admin/start|stop and
-// observed via GET /admin/metrics. Without workers, rounds are driven
-// explicitly via POST /admin/rounds, serialized across the whole pool.
+// With -workers N > 0 in-process workers start at boot: one fleet agent
+// training N leases at once, reaching the service's fleet coordinator by
+// direct calls, so its leases have the same TTL, preemption, speculation
+// and retry semantics as a remote worker's. They are controlled at runtime
+// via POST /admin/start|stop and observed via GET /admin/metrics and
+// GET /admin/fleet. Without workers, rounds are driven explicitly via
+// POST /admin/rounds, serialized across the whole pool.
 //
 // With -fleet-addr the server becomes a fleet coordinator: remote
 // easeml-worker agents register, lease candidates, heartbeat and report
@@ -75,9 +76,9 @@
 // metrics are exposed on GET /metrics; GET /admin/metrics serves the JSON
 // view.
 //
-// SIGINT/SIGTERM drain the engine gracefully before exit: running trainings
-// finish, queued leases are handed back, and (with -data-dir) the log is
-// compacted and closed.
+// SIGINT/SIGTERM shut down gracefully before exit: the in-process workers
+// hand their leases back, and (with -data-dir) the log is compacted and
+// closed.
 package main
 
 import (
@@ -102,8 +103,7 @@ func main() {
 	gpus := flag.Int("gpus", 24, "simulated GPU pool size")
 	seed := flag.Int64("seed", 1, "training-surface seed")
 	alpha := flag.Float64("alpha", 0.9, "pool scaling exponent: g GPUs give one job g^alpha speedup")
-	workers := flag.Int("workers", 0, "async engine worker count (0 = serialized rounds via /admin/rounds)")
-	batch := flag.Int("batch", 0, "max in-flight leases for the engine (default 2*workers)")
+	workers := flag.Int("workers", 0, "in-process worker count (0 = serialized rounds via /admin/rounds)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshots; empty = in-memory)")
 	walSegmentBytes := flag.Int64("wal-segment-bytes", 4<<20, "WAL segment roll threshold in bytes (with -data-dir)")
 	walSyncInterval := flag.Duration("wal-sync-interval", 2*time.Millisecond, "WAL group-commit window: concurrent appends within it share one fsync (0 = fsync every append immediately; negative = serialized fsync per append, no group commit; with -data-dir)")
@@ -146,7 +146,6 @@ func main() {
 		Addr:                     "http://localhost" + *addr,
 		Alpha:                    *alpha,
 		Workers:                  *workers,
-		Batch:                    *batch,
 		DataDir:                  *dataDir,
 		WALSegmentBytes:          *walSegmentBytes,
 		WALSyncInterval:          *walSyncInterval,
@@ -205,12 +204,6 @@ func main() {
 	}
 
 	shutdown := func() {
-		if *workers > 0 {
-			logger.Info("draining engine")
-			if err := svc.StopEngine(); err != nil {
-				logger.Warn("engine stop failed", "err", err)
-			}
-		}
 		if err := svc.Close(); err != nil {
 			logger.Warn("closing data dir failed", "err", err)
 		}
@@ -225,7 +218,7 @@ func main() {
 
 	if *workers > 0 {
 		if err := svc.StartEngine(); err != nil {
-			logger.Error("starting engine failed", "err", err)
+			logger.Error("starting in-process workers failed", "err", err)
 			os.Exit(1)
 		}
 	}

@@ -11,17 +11,18 @@
 //   - NewService starts an in-process ease.ml service: submitted jobs are
 //     trained on a simulated GPU pool under the HYBRID multi-tenant
 //     scheduler, with feed/refine/infer and an http.Handler for remote use.
-//     With ServiceConfig.Workers > 0 the service gains the asynchronous
-//     multi-device execution engine (internal/engine): StartEngine /
-//     StopEngine / DrainEngine train candidates concurrently across the
-//     pool instead of one at a time. With ServiceConfig.DataDir set (use
-//     OpenService), every mutation is written ahead to a log and the
-//     whole service state — jobs, examples, trained models — survives a
-//     crash and is recovered at the next boot. With ServiceConfig.Fleet
-//     (or FleetAddr) the service coordinates remote easeml-worker agents
-//     over the internal/fleet lease protocol: elastic workers join, train
-//     leased candidates and heartbeat; work on a worker that dies is
-//     re-queued when its lease TTL lapses.
+//     With ServiceConfig.Workers > 0 the service runs in-process workers —
+//     one internal/fleet Agent with Workers devices, holding leases like
+//     any remote worker: StartEngine / StopEngine / DrainEngine train
+//     candidates concurrently across the pool instead of one at a time.
+//     With ServiceConfig.DataDir set (use OpenService), every mutation is
+//     written ahead to a log and the whole service state — jobs, examples,
+//     trained models — survives a crash and is recovered at the next
+//     boot. With ServiceConfig.Fleet (or FleetAddr) the service
+//     coordinates remote easeml-worker agents over the internal/fleet
+//     lease protocol: elastic workers join, train leased candidates and
+//     heartbeat; work on a worker that dies is re-queued when its lease
+//     TTL lapses.
 //
 //   - NewSelection runs the paper's core contribution as a library: given a
 //     (quality, cost) environment and per-model kernel features, it drives
@@ -30,7 +31,6 @@
 package easeml
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -46,7 +46,6 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/dsl"
-	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/gp"
 	"repro/internal/server"
@@ -98,9 +97,10 @@ type Service struct {
 	pool    *cluster.Pool
 	trainer *server.SimTrainer
 	pprof   bool
-	engine  *engine.Engine        // nil unless Workers > 0
+	local   *localWorkers         // nil unless Workers > 0
 	log     *storage.Log          // nil unless DataDir is set
-	coord   *fleet.Coordinator    // nil unless Fleet/FleetAddr enabled
+	coord   *fleet.Coordinator    // nil unless Workers > 0 or Fleet/FleetAddr enabled
+	fleet   bool                  // Fleet/FleetAddr: /fleet/* is served
 	adm     *admission.Controller // nil unless Quotas/DefaultClass set
 	fleetLn net.Listener          // nil unless FleetAddr is set
 	fleetHS *http.Server
@@ -136,17 +136,17 @@ type ServiceConfig struct {
 	// runs g^Alpha times faster (default 0.9, the paper's near-linear
 	// InfiniBand setup; values outside the domain panic in cluster.NewPool).
 	// Lower values model workloads that scale poorly across devices — the
-	// regime where the async engine's multi-device strategy wins.
+	// regime where the in-process workers' multi-device strategy wins.
 	Alpha float64
-	// Workers, when positive, attaches the async execution engine: that
-	// many concurrent trainers, each accounted on its own device slice of
-	// the pool (§5.3.2's multi-device strategy). Zero keeps the serialized
-	// single-device strategy driven by RunRounds.
+	// Workers, when positive, attaches in-process workers: one fleet Agent
+	// training that many leases at once, each accounted on its own device
+	// slice of the pool (§5.3.2's multi-device strategy). It reaches the
+	// service's fleet coordinator by direct calls, so its leases carry a
+	// worker id and a TTL and are preemptible like a remote worker's. Zero
+	// keeps the serialized single-device strategy driven by RunRounds.
 	Workers int
-	// Batch caps in-flight leases for the engine (default 2×Workers).
-	Batch int
 	// TrainDelay makes each simulated training take real wall time, so
-	// engine concurrency is observable in benchmarks (default instant).
+	// worker concurrency is observable in benchmarks (default instant).
 	TrainDelay time.Duration
 	// DataDir, when set, makes the service durable: every state mutation
 	// is appended to a write-ahead log in this directory before being
@@ -184,14 +184,14 @@ type ServiceConfig struct {
 	FleetAddr string
 	// LeaseTTL is the fleet lease time-to-live: how long a leased
 	// candidate survives without a worker heartbeat before it is
-	// re-queued (default 10s). Ignored without Fleet/FleetAddr — the
-	// in-process engine settles its leases synchronously and runs without
-	// a TTL.
+	// re-queued (default 10s). It applies to the in-process workers' leases
+	// too; ignored without Workers or Fleet/FleetAddr.
 	LeaseTTL time.Duration
 	// FleetMaxInFlight caps the total outstanding leases the fleet
-	// coordinator grants (0 = no cap). When the cap is saturated and a
-	// guaranteed-class tenant has selectable work, the coordinator
-	// preempts an outstanding best-effort lease to make room.
+	// coordinator grants, the in-process workers' included (0 = no cap).
+	// When the cap is saturated and a guaranteed-class tenant has
+	// selectable work, the coordinator preempts an outstanding best-effort
+	// lease to make room.
 	FleetMaxInFlight int
 	// DisableSpeculativeLeases turns off the speculative half of the
 	// fleet lease protocol (worker-side posterior caching, batched lease
@@ -378,17 +378,6 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 			s.Recovered.Examples += st.Examples
 		}
 	}
-	if cfg.Workers > 0 {
-		devices := cfg.Workers
-		if devices > cfg.GPUs {
-			devices = cfg.GPUs
-		}
-		trainer.Devices = devices
-		s.engine = engine.New(sched, trainer, engine.Config{
-			Workers:     cfg.Workers,
-			MaxInFlight: cfg.Batch,
-		})
-	}
 	if cfg.Pprof {
 		// -pprof arms the contention profilers too: without these the mutex
 		// and block profiles under /debug/pprof are permanently empty.
@@ -407,7 +396,8 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 			runtime.SetBlockProfileRate(rate)
 		}
 	}
-	if cfg.Fleet || cfg.FleetAddr != "" {
+	s.fleet = cfg.Fleet || cfg.FleetAddr != ""
+	if s.fleet || cfg.Workers > 0 {
 		s.coord = fleet.NewCoordinator(sched, fleet.CoordinatorConfig{
 			LeaseTTL:           cfg.LeaseTTL,
 			Seed:               cfg.Seed,
@@ -430,6 +420,16 @@ func OpenService(cfg ServiceConfig) (*Service, error) {
 			go func() { _ = s.fleetHS.Serve(ln) }()
 		}
 	}
+	if cfg.Workers > 0 {
+		trainer.Devices = min(cfg.Workers, cfg.GPUs)
+		s.local = newLocalWorkers(s.coord, fleet.AgentConfig{
+			Name:               "in-process",
+			Devices:            cfg.Workers,
+			Alpha:              cfg.Alpha,
+			PollInterval:       localPollInterval,
+			DisableSpeculative: cfg.DisableSpeculativeLeases,
+		}, sched.Trainer(), pool)
+	}
 	return s, nil
 }
 
@@ -443,12 +443,16 @@ func (s *Service) Compact() error { return s.sched.Compact() }
 // and errors for a service without a DataDir.
 func (s *Service) CompactStep() (bool, error) { return s.sched.CompactIncremental() }
 
-// Close shuts the service's background machinery down: the fleet
-// coordinator's sweeper and listener stop, then (when durable) the WAL is
-// compacted and closed. The service must be quiesced first (StopEngine);
-// mutations after Close fail. It is a no-op for a plain in-memory service.
+// Close shuts the service's background machinery down: the in-process
+// workers stop (handing their leases back), the fleet coordinator's
+// sweeper and listener stop, then (when durable) the WAL is compacted and
+// closed. Mutations after Close fail. It is a no-op for a plain in-memory
+// service.
 func (s *Service) Close() error {
 	s.closed.Store(true) // /readyz answers 503 from here on
+	if s.local != nil {
+		_ = s.local.Stop() // errors only when already stopped
+	}
 	if s.coord != nil {
 		s.coord.Stop()
 	}
@@ -471,8 +475,8 @@ func (s *Service) Submit(name, program string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.engine != nil {
-		s.engine.Kick() // wake an idle engine for the new job
+	if s.local != nil {
+		s.local.agent.Wake() // poll for the new job's work now
 	}
 	out := &Job{
 		Name:     j.ID,
@@ -522,25 +526,27 @@ func (s *Service) GPUTime() float64 { return s.pool.Now() }
 
 // Handler exposes the service over HTTP (see internal/server for the
 // endpoint list); internal/client provides the matching Go client. When the
-// service has an engine, the /admin/metrics and /admin/start|stop endpoints
-// control it. With the fleet enabled, the /fleet/* worker protocol is
-// mounted alongside the service API and GET /admin/fleet reports the
-// worker registry.
+// service has in-process workers, the /admin/metrics and /admin/start|stop
+// endpoints control them. With a coordinator, GET /admin/fleet reports the
+// worker registry; with the fleet enabled, the /fleet/* worker protocol is
+// mounted alongside the service API.
 func (s *Service) Handler() http.Handler {
 	api := server.NewAPI(s.sched).WithReadiness(s.Ready)
-	if s.engine != nil {
-		api.WithEngine(engineControl{s})
+	if s.local != nil {
+		api.WithEngine(s.local)
 	}
 	if s.adm != nil {
 		api.WithAdmission(s.adm)
 	}
-	if s.coord == nil && !s.pprof {
+	if s.coord != nil {
+		api.WithFleet(s.coord)
+	}
+	if !s.fleet && !s.pprof {
 		return api.Handler()
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", api.Handler())
-	if s.coord != nil {
-		api.WithFleet(s.coord)
+	if s.fleet {
 		mux.Handle("/fleet/", s.coord.Handler())
 	}
 	if s.pprof {
@@ -586,141 +592,6 @@ func (s *Service) FleetAddr() string {
 		return ""
 	}
 	return s.fleetLn.Addr().String()
-}
-
-// StartEngine launches the async execution engine in the background: the
-// worker pool leases work through the scheduler's two-phase API and keeps
-// its device slice busy until StopEngine. It errors when the service was
-// built without Workers or the engine is already running.
-func (s *Service) StartEngine() error {
-	if s.engine == nil {
-		return fmt.Errorf("easeml: service has no engine (set ServiceConfig.Workers)")
-	}
-	return s.engine.Start()
-}
-
-// StopEngine gracefully stops the engine: running trainings finish, queued
-// leases are handed back, and it returns once every lease is settled.
-func (s *Service) StopEngine() error {
-	if s.engine == nil {
-		return fmt.Errorf("easeml: service has no engine (set ServiceConfig.Workers)")
-	}
-	return s.engine.Stop()
-}
-
-// EngineMetrics snapshots the engine counters; ok is false when the service
-// has no engine.
-func (s *Service) EngineMetrics() (engine.Metrics, bool) {
-	if s.engine == nil {
-		return engine.Metrics{}, false
-	}
-	return s.engine.Metrics(), true
-}
-
-// EngineEvents exposes the engine's observability stream (nil without an
-// engine).
-func (s *Service) EngineEvents() <-chan engine.Event {
-	if s.engine == nil {
-		return nil
-	}
-	return s.engine.Events()
-}
-
-// VirtualTimes reports the pool's virtual-time accounting: the makespan of
-// everything trained so far and what the serialized single-device strategy
-// would have taken for the same runs (§5.3.2's comparison).
-func (s *Service) VirtualTimes() (makespan, singleDevice float64) {
-	return s.pool.Makespan(), s.pool.SingleDeviceTime()
-}
-
-// EngineRunSummary reports one DrainEngine batch run.
-type EngineRunSummary struct {
-	Rounds       int64         // trainings completed by this drain
-	Wall         time.Duration // wall-clock duration of the drain
-	Makespan     float64       // virtual multi-device completion time (all runs so far)
-	SingleDevice float64       // virtual serialized single-device time for the same runs
-	Speedup      float64       // SingleDevice / Makespan
-	Utilization  float64       // mean worker busy fraction
-}
-
-// DrainEngine runs the engine synchronously until every job's candidate
-// list is exhausted (batch mode: examples and benchmarks), returning the
-// makespan-vs-serialized summary. It shares the background engine's
-// running guard, so it errors when the service has no engine or the engine
-// is already running — a concurrent StartEngine cannot race onto the same
-// scheduler.
-func (s *Service) DrainEngine(ctx context.Context) (EngineRunSummary, error) {
-	if s.engine == nil {
-		return EngineRunSummary{}, fmt.Errorf("easeml: service has no engine (set ServiceConfig.Workers)")
-	}
-	before := s.engine.Metrics()
-	start := time.Now()
-	// Drain errors (ErrInterrupted) on any exit before the work ran dry —
-	// caller cancellation or a concurrent StopEngine — so a partial drain
-	// can never masquerade as a complete summary.
-	if err := s.engine.Drain(ctx); err != nil {
-		return EngineRunSummary{}, fmt.Errorf("easeml: engine drain aborted: %w", err)
-	}
-	m := s.engine.Metrics()
-	makespan, single := s.VirtualTimes()
-	sum := EngineRunSummary{
-		Rounds:       m.Completed - before.Completed,
-		Wall:         time.Since(start),
-		Makespan:     makespan,
-		SingleDevice: single,
-	}
-	// Engine counters are cumulative across runs; the summary reports this
-	// drain alone, so utilization comes from the busy/elapsed deltas.
-	busyDelta := sumBusy(m.PerWorker) - sumBusy(before.PerWorker)
-	if elapsedDelta := m.Elapsed - before.Elapsed; elapsedDelta > 0 && m.Workers > 0 {
-		sum.Utilization = float64(busyDelta) / (float64(elapsedDelta) * float64(m.Workers))
-	}
-	if makespan > 0 {
-		sum.Speedup = single / makespan
-	}
-	return sum, nil
-}
-
-func sumBusy(ws []engine.WorkerStats) time.Duration {
-	var busy time.Duration
-	for _, w := range ws {
-		busy += w.Busy
-	}
-	return busy
-}
-
-// engineControl adapts the service's engine to the server admin surface,
-// folding in the pool's virtual-time accounting.
-type engineControl struct{ s *Service }
-
-func (c engineControl) Start() error { return c.s.StartEngine() }
-func (c engineControl) Stop() error  { return c.s.StopEngine() }
-
-func (c engineControl) Status() server.EngineStatus {
-	m, _ := c.s.EngineMetrics()
-	st := server.EngineStatus{
-		Running:     m.Running,
-		Workers:     m.Workers,
-		Completed:   m.Completed,
-		Released:    m.Released,
-		Abandoned:   m.Abandoned,
-		Errors:      m.Errors,
-		InFlight:    m.InFlight,
-		QueueDepth:  m.QueueDepth,
-		UptimeMS:    float64(m.Elapsed) / float64(time.Millisecond),
-		Utilization: m.Utilization,
-	}
-	for _, w := range m.PerWorker {
-		st.PerWorker = append(st.PerWorker, server.EngineWorkerStatus{
-			Items:  w.Items,
-			BusyMS: float64(w.Busy) / float64(time.Millisecond),
-		})
-	}
-	st.VirtualMakespan, st.VirtualSingleDevice = c.s.VirtualTimes()
-	if st.VirtualMakespan > 0 {
-		st.VirtualSpeedup = st.VirtualSingleDevice / st.VirtualMakespan
-	}
-	return st
 }
 
 // Policy selects a multi-tenant user-scheduling policy.

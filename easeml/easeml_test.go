@@ -198,6 +198,15 @@ func TestServiceEngineDrain(t *testing.T) {
 		t.Errorf("VirtualTimes (%g, %g) disagrees with summary (%g, %g)", mk, sd, sum.Makespan, sum.SingleDevice)
 	}
 
+	// A drained service drains again at once: no work, no rounds.
+	again, err := svc.DrainEngine(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Rounds != 0 || svc.sched.Rounds() != total {
+		t.Errorf("second drain ran %d rounds (scheduler at %d, want %d)", again.Rounds, svc.sched.Rounds(), total)
+	}
+
 	// A cancelled drain must not masquerade as a complete summary.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -214,6 +223,111 @@ func TestServiceEngineDrain(t *testing.T) {
 	}
 	if _, ok := plain.EngineMetrics(); ok {
 		t.Error("EngineMetrics without workers should report !ok")
+	}
+}
+
+// Stopping the in-process workers mid-flight hands every lease back; the
+// released candidates are trained on the next drain, none twice.
+func TestServiceStopReleasesWork(t *testing.T) {
+	svc := NewService(ServiceConfig{GPUs: 24, Seed: 3, Alpha: 0.35, Workers: 4, TrainDelay: 2 * time.Millisecond})
+	defer svc.Close()
+	total := 0
+	for _, prog := range []string{imgProgram, "{input: {[Tensor[4]], [next]}, output: {[Tensor[2]], []}}"} {
+		job, err := svc.Submit("stop", prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(job.Candidates)
+	}
+	if err := svc.StartEngine(); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.StartEngine(); err == nil {
+		t.Error("second StartEngine while running should fail")
+	}
+	for deadline := time.Now().Add(5 * time.Second); svc.sched.Rounds() < 3 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if err := svc.StopEngine(); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.StopEngine(); err == nil {
+		t.Error("second StopEngine should fail")
+	}
+	m, _ := svc.EngineMetrics()
+	if m.Running {
+		t.Error("workers still running after StopEngine")
+	}
+	if svc.sched.InFlight() != 0 {
+		t.Errorf("%d leases leaked by stop", svc.sched.InFlight())
+	}
+	if int(m.Completed) != svc.sched.Rounds() {
+		t.Errorf("workers completed %d vs scheduler rounds %d", m.Completed, svc.sched.Rounds())
+	}
+	if svc.sched.Rounds() >= total {
+		t.Fatalf("stop happened after all %d rounds; delay too short to test it", total)
+	}
+	svc.trainer.Delay = 0
+	if _, err := svc.DrainEngine(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if svc.sched.Rounds() != total {
+		t.Errorf("resumed drain finished at %d rounds, want %d", svc.sched.Rounds(), total)
+	}
+}
+
+// The in-process workers hold leases exactly like a remote worker: each
+// lease is assigned to the in-process worker's fleet id, carries a TTL and
+// is reclaimable by priority preemption, and with speculation on the
+// workers' later grants take the speculative fast path.
+func TestInProcessLeasesAreOwnedPreemptibleAndSpeculative(t *testing.T) {
+	svc := NewService(ServiceConfig{
+		Seed: 3, Workers: 2, TrainDelay: 500 * time.Millisecond,
+		Quotas: map[string]TenantQuota{"batch": {Class: "best-effort"}, "vip": {Class: "guaranteed"}},
+	})
+	defer svc.Close()
+	if _, err := svc.Submit("batch", imgProgram); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.StartEngine(); err != nil {
+		t.Fatal(err)
+	}
+	// Two devices, two leases, then nothing moves until the slow runs end.
+	for deadline := time.Now().Add(5 * time.Second); svc.sched.InFlight() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	held := svc.sched.InFlight()
+	fs, ok := svc.FleetStatus()
+	if !ok || len(fs.Workers) != 1 || fs.Workers[0].InFlight != held || held != 2 {
+		t.Fatalf("registry %+v does not hold all %d in-flight leases", fs, held)
+	}
+	worker := fs.Workers[0].ID
+	if _, err := svc.Submit("vip", imgProgram); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < held; i++ {
+		l, err := svc.sched.PreemptForPriority()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l == nil {
+			t.Fatalf("preemption %d of %d reclaimed nothing", i+1, held)
+		}
+		if l.Worker != worker || l.Expires.IsZero() {
+			t.Errorf("lease %d: worker %q expires %v, want worker %q with a TTL", l.ID, l.Worker, l.Expires, worker)
+		}
+	}
+
+	fast := NewService(ServiceConfig{Seed: 3, Workers: 4})
+	defer fast.Close()
+	if _, err := fast.Submit("batch", imgProgram); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fast.DrainEngine(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if fast.SelectionMetrics().SpeculativeGrants == 0 {
+		t.Error("no in-process lease took the speculative grant path")
 	}
 }
 
@@ -262,7 +376,7 @@ func TestServiceEngineHTTPAdmin(t *testing.T) {
 	if code := post("/admin/start"); code != http.StatusConflict {
 		t.Errorf("double start returned %d, want 409", code)
 	}
-	// Wait for the engine to finish the job's 35 candidates.
+	// Wait for the workers to finish the job's 35 candidates.
 	deadline := time.Now().Add(10 * time.Second)
 	for getMetrics().Rounds < 35 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -281,7 +395,7 @@ func TestServiceEngineHTTPAdmin(t *testing.T) {
 		t.Errorf("double stop returned %d, want 409", code)
 	}
 
-	// A service without an engine: no engine block, start/stop conflict.
+	// A service without workers: no engine block, start/stop conflict.
 	plain := NewService(ServiceConfig{GPUs: 4})
 	plainSrv := httptest.NewServer(plain.Handler())
 	defer plainSrv.Close()
@@ -295,7 +409,7 @@ func TestServiceEngineHTTPAdmin(t *testing.T) {
 	}
 	resp.Body.Close()
 	if pm.Engine != nil {
-		t.Error("engineless service reports an engine block")
+		t.Error("service without workers reports an engine block")
 	}
 	sr, err := http.Post(plainSrv.URL+"/admin/start", "application/json", nil)
 	if err != nil {
@@ -303,7 +417,7 @@ func TestServiceEngineHTTPAdmin(t *testing.T) {
 	}
 	sr.Body.Close()
 	if sr.StatusCode != http.StatusConflict {
-		t.Errorf("engineless start returned %d, want 409", sr.StatusCode)
+		t.Errorf("start without workers returned %d, want 409", sr.StatusCode)
 	}
 }
 

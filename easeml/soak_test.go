@@ -14,13 +14,13 @@ import (
 )
 
 // The race-soak: eight user goroutines hammer every user-facing operation
-// (Submit / Feed / Refine / Infer / Status) while the async engine's
-// workers and a remote fleet agent concurrently drive PickWork/Complete
-// against the same scheduler — the full three-way concurrency the locking
+// (Submit / Feed / Refine / Infer / Status) while the in-process workers
+// and a remote fleet agent concurrently lease and settle work through the
+// same coordinator and scheduler — the full three-way concurrency the locking
 // discipline must survive. Run under -race (the dedicated CI job does, in
 // its shortened -short variant); the assertions double as invariants: no
 // candidate is recorded twice and no job over-trains, no matter how the
-// engine and the fleet interleave.
+// in-process and the remote agent interleave.
 func TestRaceSoakConcurrentService(t *testing.T) {
 	soak := 1500 * time.Millisecond
 	if testing.Short() {
@@ -31,7 +31,7 @@ func TestRaceSoakConcurrentService(t *testing.T) {
 		Seed:       7,
 		Workers:    4,
 		Fleet:      true,
-		TrainDelay: 200 * time.Microsecond, // engine runs take wall time, so leases overlap
+		TrainDelay: 200 * time.Microsecond, // runs take wall time, so leases overlap
 		Quotas: map[string]TenantQuota{
 			"tenant-0": {Class: "guaranteed"},
 			"tenant-1": {Class: "standard"},
@@ -154,7 +154,7 @@ func TestRaceSoakConcurrentService(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Post-soak invariants: however the engine and the agent raced, no
+	// Post-soak invariants: however the two agents raced, no
 	// candidate was recorded twice and no job trained more than its
 	// candidate list.
 	jobsMu.Lock()
@@ -182,6 +182,6 @@ func TestRaceSoakConcurrentService(t *testing.T) {
 		totalTrained += st.Trained
 	}
 	if totalTrained == 0 {
-		t.Error("soak trained nothing; engine/fleet never completed a lease")
+		t.Error("soak trained nothing; no agent ever completed a lease")
 	}
 }

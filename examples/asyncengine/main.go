@@ -5,15 +5,16 @@
 //
 //  1. serialized, the paper's deployed single-device strategy: every
 //     candidate takes the whole 24-GPU pool, one at a time;
-//  2. through the asynchronous execution engine: 8 workers lease candidates
-//     via the scheduler's two-phase API (GP-BUCB hallucination keeps the
-//     concurrent picks diverse) and train them one device each.
+//  2. by in-process workers: one fleet agent with 8 devices leases
+//     candidates from the service's coordinator (GP-BUCB hallucination keeps
+//     the concurrent picks diverse) and trains them one device each.
 //
 // On a pool that scales sublinearly (α = 0.35: one job on 24 GPUs runs only
 // 24^0.35 ≈ 3× faster than on one), keeping 8 devices busy with 8 different
-// candidates beats ganging all 24 on a single candidate — the engine's
+// candidates beats ganging all 24 on a single candidate — the workers'
 // virtual-time makespan comes out ≥2× ahead, while the final best model per
-// job is bit-identical to the serialized run.
+// job is bit-identical to the serialized run. The program exits non-zero
+// if any job's best model diverges.
 //
 // Run with: go run ./examples/asyncengine
 package main
@@ -60,7 +61,7 @@ func main() {
 	fmt.Printf("serialized: %d rounds, virtual time %.1f units (whole pool per candidate)\n",
 		ran, serialTime)
 
-	// --- Run 2: the async engine, same seed, same jobs.
+	// --- Run 2: in-process workers, same seed, same jobs.
 	eng := easeml.NewService(easeml.ServiceConfig{
 		GPUs: gpus, Seed: seed, Alpha: alpha, Workers: workers,
 	})
@@ -69,17 +70,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("engine:     %d rounds, virtual makespan %.1f units (%d workers, one device each)\n",
+	fmt.Printf("in-process: %d rounds, virtual makespan %.1f units (%d workers, one device each)\n",
 		sum.Rounds, sum.Makespan, workers)
 	fmt.Printf("\nvirtual-time speedup: %.2fx (serialized %.1f / makespan %.1f)\n",
 		sum.Speedup, sum.SingleDevice, sum.Makespan)
-	fmt.Printf("wall clock of the engine drain: %s, worker utilization %.0f%%\n",
+	fmt.Printf("wall clock of the in-process drain: %s, worker utilization %.0f%%\n",
 		sum.Wall.Round(1e6), 100*sum.Utilization)
 
-	// --- Same answers: the engine explores in a different order, but with a
+	// --- Same answers: the workers explore in a different order, but with a
 	// fixed seed every candidate's measured accuracy is identical, so the
 	// final best model per job must match the serialized run exactly.
-	fmt.Println("\nbest model per job (serialized vs engine):")
+	fmt.Println("\nbest model per job (serialized vs in-process workers):")
 	for _, p := range programs {
 		a, err := serial.Status(serialIDs[p.name])
 		if err != nil {
@@ -89,10 +90,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		match := "✓ identical"
 		if a.Best.Name != b.Best.Name || a.Best.Accuracy != b.Best.Accuracy {
-			match = "✗ DIVERGED"
+			log.Fatalf("  %-20s ✗ DIVERGED: serialized %s (acc %.4f) vs in-process %s (acc %.4f)",
+				p.name, a.Best.Name, a.Best.Accuracy, b.Best.Name, b.Best.Accuracy)
 		}
-		fmt.Printf("  %-20s %-38s acc %.4f   %s\n", p.name, a.Best.Name, a.Best.Accuracy, match)
+		fmt.Printf("  %-20s %-38s acc %.4f   ✓ identical\n", p.name, a.Best.Name, a.Best.Accuracy)
 	}
 }

@@ -22,8 +22,8 @@ import (
 // AgentConfig parameterizes a worker agent. Zero values select the
 // defaults noted per field.
 type AgentConfig struct {
-	// Coordinator is the coordinator's base URL (required), e.g.
-	// "http://coordinator:9001".
+	// Coordinator is the coordinator's base URL (required by NewAgent),
+	// e.g. "http://coordinator:9001". Coordinator.LocalAgent ignores it.
 	Coordinator string
 	// Name is the operator-facing worker name (default: the hostname).
 	Name string
@@ -61,14 +61,15 @@ type AgentConfig struct {
 	Logger *slog.Logger
 }
 
-// Agent is one fleet worker: it registers with the coordinator, polls for
+// Agent is one fleet worker, remote (NewAgent, over HTTP) or in-process
+// (Coordinator.LocalAgent): it registers with the coordinator, polls for
 // leases, executes them through the configured Executor with Devices-way
 // concurrency, streams heartbeats, and reports results. Run drives the
 // whole lifecycle; an agent whose context is cancelled leaves gracefully
 // (unless SkipLeaveOnExit), releasing its leases for immediate re-queueing.
 type Agent struct {
 	cfg    AgentConfig
-	client *protoClient
+	client transport
 
 	heartbeatEvery time.Duration
 	pollEvery      time.Duration
@@ -111,12 +112,24 @@ type Agent struct {
 	failed    atomic.Int64
 }
 
-// NewAgent validates the configuration and builds an agent (not yet
-// registered; Run does that).
+// NewAgent validates the configuration and builds an agent that reaches
+// its coordinator over HTTP (not yet registered; Run does that).
 func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Coordinator == "" {
 		return nil, fmt.Errorf("fleet: AgentConfig.Coordinator is required")
 	}
+	return newAgent(cfg, newProtoClient(cfg.Coordinator, cfg.HTTPClient)), nil
+}
+
+// LocalAgent builds an agent that reaches c by direct method calls instead
+// of HTTP: an in-process worker with the same lease semantics as a remote
+// one (TTL, preemption, speculation, retry budget). cfg.Coordinator and
+// cfg.HTTPClient are ignored.
+func (c *Coordinator) LocalAgent(cfg AgentConfig) *Agent {
+	return newAgent(cfg, directTransport{c})
+}
+
+func newAgent(cfg AgentConfig, client transport) *Agent {
 	if cfg.Devices <= 0 {
 		cfg.Devices = 1
 	}
@@ -132,14 +145,14 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	return &Agent{
 		cfg:        cfg,
-		client:     newProtoClient(cfg.Coordinator, cfg.HTTPClient),
+		client:     client,
 		exec:       cfg.Executor,
 		ownExec:    cfg.Executor == nil,
 		jobs:       make(map[string]map[string]templates.Candidate),
 		running:    make(map[int]context.CancelFunc),
 		posteriors: make(map[string]*postSurface),
 		slotFree:   make(chan struct{}, 1),
-	}, nil
+	}
 }
 
 // postSurface is the agent's view of one job's posterior: the UCB per arm
@@ -152,6 +165,15 @@ type postSurface struct {
 	ucb   []float64
 	open  []bool
 	done  bool
+}
+
+// Wake ends an idle agent's poll backoff so it polls right away — after a
+// job submission in the same process, say. Safe to call at any time.
+func (a *Agent) Wake() {
+	select {
+	case a.slotFree <- struct{}{}:
+	default:
+	}
 }
 
 // Completed returns how many runs the agent has reported successfully.
@@ -516,10 +538,7 @@ func (a *Agent) execute(ctx context.Context, exec Executor, workerID string, wl 
 		a.mu.Lock()
 		delete(a.running, wl.LeaseID)
 		a.mu.Unlock()
-		select {
-		case a.slotFree <- struct{}{}:
-		default:
-		}
+		a.Wake()
 	}()
 	if ctx.Err() != nil {
 		run.SetAttr("outcome", "aborted")

@@ -37,6 +37,63 @@ func IsCode(err error, code string) bool {
 	return errors.As(err, &pe) && pe.Code == code
 }
 
+// transport is how an Agent reaches its coordinator. protoClient speaks
+// the HTTP protocol to a remote one; directTransport calls a Coordinator
+// in the same process. Both surface coordinator errors as the same
+// *ProtocolError, so the agent's lease semantics do not depend on which
+// one it holds.
+type transport interface {
+	register(ctx context.Context, req RegisterRequest) (RegisterResponse, error)
+	lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error)
+	heartbeat(ctx context.Context, req HeartbeatRequest) (HeartbeatResponse, error)
+	complete(ctx context.Context, req CompleteRequest) (CompleteResponse, error)
+	leave(ctx context.Context, workerID string) error
+	jobInfo(ctx context.Context, jobID string) (JobInfo, error)
+}
+
+// directTransport calls a Coordinator's methods in-process: the transport
+// of the in-process workers, with no encoding and no network in between.
+type directTransport struct{ c *Coordinator }
+
+func (d directTransport) register(_ context.Context, req RegisterRequest) (RegisterResponse, error) {
+	return d.c.Register(req), nil
+}
+
+func (d directTransport) lease(_ context.Context, req LeaseRequest) (LeaseResponse, error) {
+	resp, err := d.c.Lease(req)
+	return resp, protocolError(err)
+}
+
+func (d directTransport) heartbeat(_ context.Context, req HeartbeatRequest) (HeartbeatResponse, error) {
+	resp, err := d.c.Heartbeat(req)
+	return resp, protocolError(err)
+}
+
+func (d directTransport) complete(_ context.Context, req CompleteRequest) (CompleteResponse, error) {
+	resp, err := d.c.Complete(req)
+	return resp, protocolError(err)
+}
+
+func (d directTransport) leave(_ context.Context, workerID string) error {
+	_, err := d.c.Leave(workerID)
+	return protocolError(err)
+}
+
+func (d directTransport) jobInfo(_ context.Context, jobID string) (JobInfo, error) {
+	info, err := d.c.JobInfo(jobID)
+	return info, protocolError(err)
+}
+
+// protocolError converts a coordinator error into the ProtocolError the
+// HTTP client would decode from the reply writeFleetError sends for it.
+func protocolError(err error) error {
+	if err == nil {
+		return nil
+	}
+	status, code := errorStatus(err)
+	return &ProtocolError{Status: status, Code: code, Message: err.Error()}
+}
+
 // protoClient is the agent side of the coordinator protocol: thin,
 // context-aware JSON calls.
 type protoClient struct {

@@ -22,13 +22,13 @@ var (
 	fleetLeasePolls = telemetry.Default().Counter("easeml_fleet_lease_polls_total",
 		"Lease polls served, whether or not work was granted.")
 	fleetLeasesGranted = telemetry.Default().Counter("easeml_fleet_leases_granted_total",
-		"Leases handed to remote workers.")
+		"Leases handed to fleet workers, remote or in-process.")
 	fleetLeaseExpirations = telemetry.Default().Counter("easeml_fleet_lease_expirations_total",
-		"Remote leases reclaimed by TTL expiry.")
+		"Worker leases reclaimed by TTL expiry.")
 	fleetLeasePreemptions = telemetry.Default().Counter("easeml_fleet_lease_preemptions_total",
-		"Remote leases reclaimed by priority preemption.")
+		"Worker leases reclaimed by priority preemption.")
 	fleetCompletes = telemetry.Default().CounterVec("easeml_fleet_completes_total",
-		"Remote lease settlements by outcome (completed, released, abandoned, conflict, error).", "outcome")
+		"Worker lease settlements by outcome (completed, released, abandoned, conflict, error).", "outcome")
 	fleetLeaves = telemetry.Default().Counter("easeml_fleet_leaves_total",
 		"Graceful worker departures.")
 )
@@ -91,10 +91,10 @@ type CoordinatorConfig struct {
 	Seed int64
 	// MaxRetries bounds how often a failing (job, candidate) run is
 	// released for retry before the candidate is abandoned (default 3) —
-	// the same livelock guard the in-process engine applies.
+	// the livelock guard against a candidate that never trains.
 	MaxRetries int
 	// MaxInFlight caps total outstanding leases across the fleet and the
-	// in-process engine (default 0: no cap beyond available work).
+	// in-process workers (default 0: no cap beyond available work).
 	MaxInFlight int
 	// Clock overrides the time source (tests); it is installed on the
 	// scheduler too, so lease expiry and the registry agree on now.
@@ -150,12 +150,14 @@ type Coordinator struct {
 	cfg   CoordinatorConfig
 	reg   *registry
 
-	// mu guards the remote-lease table; it also serializes lease grants so
-	// the "current in-flight + wanted" target handed to PickWork is
-	// race-free. (Failure tallies live in the scheduler, shared with the
-	// in-process engine.)
+	// mu guards the remote-lease table and the failure tallies; it also
+	// serializes lease grants so the "current in-flight + wanted" target
+	// handed to PickWork is race-free.
 	mu     sync.Mutex
 	remote map[int]*remoteLease
+	// failures counts failed runs per candidate: the abandon-after-
+	// MaxRetries livelock guard.
+	failures map[candidateKey]int
 	// preempted queues lease ids reclaimed by priority preemption per
 	// worker, delivered (and cleared) on the worker's next heartbeat so the
 	// agent aborts the run immediately instead of discovering the loss via
@@ -169,6 +171,12 @@ type Coordinator struct {
 	runMu sync.Mutex
 	stop  chan struct{}
 	done  chan struct{}
+}
+
+// candidateKey names one candidate of one job.
+type candidateKey struct {
+	job string
+	arm int
 }
 
 // remoteLease pairs an outstanding scheduler lease with its holder.
@@ -194,6 +202,7 @@ func NewCoordinator(sched *server.Scheduler, cfg CoordinatorConfig) *Coordinator
 		cfg:       cfg,
 		reg:       newRegistry(cfg.DeadAfter, cfg.Clock),
 		remote:    make(map[int]*remoteLease),
+		failures:  make(map[candidateKey]int),
 		preempted: make(map[string][]int),
 	}
 }
@@ -360,7 +369,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 			return LeaseResponse{}, err
 		}
 		if len(batch) > remaining {
-			// In-process engine settles land without c.mu, so the table can
+			// Settles and expiry sweeps land without c.mu, so the table can
 			// shrink between the InFlight read and the pick, inflating the
 			// target; hand the excess back rather than exceed what the worker
 			// asked to run.
@@ -534,6 +543,14 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 	}
 	delete(c.remote, req.LeaseID) // claim: at most one report settles a lease
 	l := rl.lease
+	// The failure tally is peeked to decide release-vs-abandon and only
+	// recorded once the settle succeeds — a report that loses the race
+	// against lease expiry must not burn retry budget for a run the
+	// scheduler never accounted. The tally is per candidate, not per
+	// worker, so a candidate moving between workers still gets exactly
+	// MaxRetries attempts.
+	key := candidateKey{l.JobID, l.Arm}
+	failures := c.failures[key] + 1
 	c.mu.Unlock()
 
 	// Import the worker's spans into the coordinator's flight recorder, so
@@ -553,16 +570,6 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		imported++
 	}
 
-	// The failure tally is peeked to decide release-vs-abandon and only
-	// recorded once the settle succeeds — a report that loses the race
-	// against lease expiry must not burn retry budget for a run the
-	// scheduler never accounted. The tally lives in the scheduler, shared
-	// with the in-process engine, so a candidate alternating between local
-	// and remote workers still gets exactly MaxRetries attempts.
-	var failures int
-	if req.Error != "" {
-		failures = c.sched.TrainingFailures(l.JobID, l.Arm) + 1
-	}
 	settled := "completed"
 	var err error
 	switch {
@@ -590,7 +597,9 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 		return CompleteResponse{}, err
 	}
 	if req.Error != "" {
-		c.sched.NoteTrainingFailure(l.JobID, l.Arm)
+		c.mu.Lock()
+		c.failures[key]++
+		c.mu.Unlock()
 	}
 	fleetCompletes.With(settled).Inc()
 	c.reg.leaseSettled(req.WorkerID, req.LeaseID, settled)
@@ -646,7 +655,7 @@ func (c *Coordinator) Leave(workerID string) (int, error) {
 func (c *Coordinator) JobInfo(jobID string) (JobInfo, error) {
 	job, ok := c.sched.Job(jobID)
 	if !ok {
-		return JobInfo{}, fmt.Errorf("fleet: no job %q", jobID)
+		return JobInfo{}, fmt.Errorf("fleet: no job %q: %w", jobID, server.ErrNoJob)
 	}
 	info := JobInfo{ID: job.ID, Name: job.Name, Program: job.Program.String()}
 	for _, cand := range job.Candidates {

@@ -2,17 +2,17 @@ package fleet
 
 import (
 	"context"
-	"strings"
+	"errors"
 	"sync"
 
 	"repro/internal/server"
 	"repro/internal/templates"
 )
 
-// Executor trains one leased candidate. It is the execution substrate both
-// halves of the system plug into: the in-process engine's workers run
-// through a TrainerExecutor, remote worker agents default to a SimExecutor
-// (the trainsim substrate) and can substitute anything that can measure an
+// Executor trains one leased candidate. It is the execution substrate every
+// Agent runs leases through: the service's in-process workers use a
+// TrainerExecutor, remote worker agents default to a SimExecutor (the
+// trainsim substrate) and can substitute anything that can measure an
 // accuracy and a cost — a real training harness, a container launcher, an
 // RPC to an accelerator box. Implementations must be safe for concurrent
 // use and must return errors, never panic: a panicking executor would take
@@ -34,8 +34,8 @@ type JobAware interface {
 }
 
 // TrainerExecutor adapts a server.Trainer to the Executor interface — the
-// in-process engine's workers execute through it, making them fleet
-// members in all but transport.
+// service's in-process workers execute through it, so they train on the
+// scheduler's own trainer and its virtual-time pool accounting.
 type TrainerExecutor struct {
 	Trainer server.Trainer
 }
@@ -80,7 +80,7 @@ func (x *SimExecutor) RegisterJob(jobID string, cands []templates.Candidate) err
 	if err := x.trainer.Register(jobID, cands); err != nil {
 		// The underlying trainer is the source of truth; tolerate a
 		// registration that raced a concurrent one.
-		if strings.Contains(err.Error(), "already registered") {
+		if errors.Is(err, server.ErrAlreadyRegistered) {
 			x.registered[jobID] = true
 			return nil
 		}

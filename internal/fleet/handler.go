@@ -12,73 +12,40 @@ import (
 // easeml facade does — or serve it on a dedicated fleet address.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/fleet/register", c.handleRegister)
-	mux.HandleFunc("/fleet/lease", c.handleLease)
-	mux.HandleFunc("/fleet/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("/fleet/complete", c.handleComplete)
-	mux.HandleFunc("/fleet/leave", c.handleLeave)
+	mux.HandleFunc("/fleet/register", post(func(req RegisterRequest) (RegisterResponse, error) {
+		return c.Register(req), nil
+	}))
+	mux.HandleFunc("/fleet/lease", post(c.Lease))
+	mux.HandleFunc("/fleet/heartbeat", post(c.Heartbeat))
+	mux.HandleFunc("/fleet/complete", post(c.Complete))
+	mux.HandleFunc("/fleet/leave", post(func(req LeaveRequest) (LeaveResponse, error) {
+		released, err := c.Leave(req.WorkerID)
+		return LeaveResponse{Released: released}, err
+	}))
 	mux.HandleFunc("/fleet/job", c.handleJob)
 	return mux
 }
 
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if !readJSON(w, r, &req) {
-		return
+// post serves one JSON protocol call: the POST body decodes into a Req,
+// fn's reply is written as 200, and fn's error goes out in the shared
+// envelope (writeFleetError).
+func post[Req, Resp any](fn func(Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			server.WriteError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
+			return
+		}
+		var req Req
+		if !server.ReadJSON(w, r, &req) {
+			return
+		}
+		resp, err := fn(req)
+		if err != nil {
+			writeFleetError(w, err)
+			return
+		}
+		server.WriteJSON(w, http.StatusOK, resp)
 	}
-	writeJSON(w, http.StatusOK, c.Register(req))
-}
-
-func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req LeaseRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	resp, err := c.Lease(req)
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	resp, err := c.Heartbeat(req)
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req CompleteRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	resp, err := c.Complete(req)
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
-	var req LeaveRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	released, err := c.Leave(req.WorkerID)
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, LeaveResponse{Released: released})
 }
 
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -88,38 +55,36 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := c.JobInfo(r.URL.Query().Get("id"))
 	if err != nil {
-		server.WriteError(w, http.StatusNotFound, err)
+		writeFleetError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	server.WriteJSON(w, http.StatusOK, info)
 }
 
-// writeFleetError maps coordinator errors onto the service's shared error
-// envelope: malformed requests are 400 with code "bad_request" (the sender
-// must fix, not retry), unknown workers get their fleet-specific 409 code
-// (agents re-register on it), lease conflicts inherit the server mapping,
-// and everything else is a 500.
-func writeFleetError(w http.ResponseWriter, err error) {
+// errorStatus maps a coordinator error onto its HTTP status and envelope
+// code: malformed requests are 400 "bad_request" (the sender must fix, not
+// retry), unknown workers get their fleet-specific 409 code (agents
+// re-register on it), lease conflicts inherit the server's 409 code,
+// unknown jobs are 404, and everything else is a 500. The HTTP handlers
+// and the in-process transport both go through it, so a local and a
+// remote agent see the same error for the same failure.
+func errorStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, ErrBadRequest):
-		server.WriteJSON(w, http.StatusBadRequest, server.ErrorBody{Error: err.Error(), Code: CodeBadRequest})
+		return http.StatusBadRequest, CodeBadRequest
 	case errors.Is(err, ErrUnknownWorker):
-		server.WriteJSON(w, http.StatusConflict, server.ErrorBody{Error: err.Error(), Code: CodeUnknownWorker})
+		return http.StatusConflict, CodeUnknownWorker
 	case errors.Is(err, server.ErrLeaseConflict):
-		server.WriteError(w, http.StatusConflict, err)
+		return http.StatusConflict, server.CodeLeaseConflict
+	case errors.Is(err, server.ErrNoJob):
+		return http.StatusNotFound, ""
 	default:
-		server.WriteError(w, http.StatusInternalServerError, err)
+		return http.StatusInternalServerError, ""
 	}
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		server.WriteError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return false
-	}
-	return server.ReadJSON(w, r, dst)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	server.WriteJSON(w, status, v)
+// writeFleetError writes err in the service's shared error envelope.
+func writeFleetError(w http.ResponseWriter, err error) {
+	status, code := errorStatus(err)
+	server.WriteJSON(w, status, server.ErrorBody{Error: err.Error(), Code: code})
 }

@@ -2,12 +2,14 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dsl"
+	"repro/internal/server"
 	"repro/internal/templates"
 )
 
@@ -108,5 +110,23 @@ func TestConcurrentSubmitAndAgentFetchSharePlanCache(t *testing.T) {
 	cands := templates.CandidateCacheStats()
 	if hr := cands.HitRate(); hr <= 0.9 {
 		t.Errorf("candidate cache hit rate %.2f, want > 0.90 (%+v)", hr, cands)
+	}
+
+	// A fetch that loses the race to register a job finds it already in
+	// the executor's trainer: the trainer reports ErrAlreadyRegistered and
+	// RegisterJob accepts the registration that won.
+	x := NewSimExecutor(fleetSeed)
+	job := sc.Jobs()[0]
+	if err := x.trainer.Register(job.ID, job.Candidates); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.trainer.Register(job.ID, job.Candidates); !errors.Is(err, server.ErrAlreadyRegistered) {
+		t.Fatalf("second trainer registration: %v, want ErrAlreadyRegistered", err)
+	}
+	if err := x.RegisterJob(job.ID, job.Candidates); err != nil {
+		t.Fatalf("RegisterJob after a racing registration: %v", err)
+	}
+	if _, _, err := x.Execute(context.Background(), job.ID, job.Candidates[0]); err != nil {
+		t.Fatalf("executing after a duplicate registration: %v", err)
 	}
 }

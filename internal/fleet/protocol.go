@@ -16,9 +16,10 @@
 //	  ├── registry: join/leave/dead, per-worker in-flight + failures
 //	  └── sweeper: lease TTL expiry ──▶ re-queue + WAL lease_expired
 //
-// The in-process execution engine (internal/engine) runs its local workers
-// through the same Executor interface, so "local" is just the degenerate
-// fleet member with zero network in between.
+// A service's in-process workers are an Agent too (Coordinator.LocalAgent),
+// reaching the coordinator through direct method calls instead of HTTP, so
+// every worker — local or remote — holds leases with one semantics: TTL,
+// heartbeat, preemption, speculative grants and the retry budget.
 package fleet
 
 import "repro/internal/telemetry"

@@ -147,13 +147,13 @@ func (sc *Scheduler) enforceBudget(tenant string) error {
 // worker's late Complete/Release bounces off ErrLeaseConflict (HTTP 409) —
 // so no candidate is ever lost or double-counted.
 //
-// Only worker-assigned, non-settling leases are eligible: the in-process
-// engine settles its (unassigned) leases synchronously and cannot abort a
-// local run, mirroring the expiry rules. Among eligible victims the most
-// recently granted lease is preempted (least sunk work). The caller — the
-// fleet coordinator, when its in-flight cap is saturated — decides *when*
-// preemption is warranted; this method decides *whether* the class rules
-// allow it. With a WAL attached the preemption is logged as operational
+// Only worker-assigned, non-settling leases are eligible, mirroring the
+// expiry rules: every worker's lease, remote or in-process, is assigned;
+// the only unassigned one is RunRound's synchronous lease, which has no
+// holder to tell. Among eligible victims the most recently granted lease
+// is preempted (least sunk work). The caller — the fleet coordinator, when
+// its in-flight cap is saturated — decides *when* preemption is
+// warranted; this method decides *whether* the class rules allow it. With a WAL attached the preemption is logged as operational
 // history. Returns nil when no preemption is warranted.
 func (sc *Scheduler) PreemptForPriority() (*Lease, error) {
 	jobs := sc.jobsSnapshot()

@@ -28,9 +28,9 @@ import (
 //	POST /admin/rounds             run scheduling rounds synchronously
 //	GET  /admin/snapshot           checkpoint the shared storage as JSON
 //	POST /admin/snapshot           compact the WAL into the on-disk snapshot
-//	GET  /admin/metrics            scheduler counters + engine metrics
-//	POST /admin/start              start the async execution engine
-//	POST /admin/stop               stop the engine (graceful drain)
+//	GET  /admin/metrics            scheduler counters + in-process worker metrics
+//	POST /admin/start              start the in-process workers
+//	POST /admin/stop               stop the in-process workers
 //	GET  /admin/fleet              worker registry + lease/expiry counters
 //	GET  /admin/quotas             tenant admission state (classes, caps, budgets)
 //	POST /admin/quotas             install or replace one tenant's quota live
@@ -40,7 +40,7 @@ import (
 //	GET  /healthz                  liveness probe
 //	GET  /readyz                   readiness probe (WAL recovered, fleet listener up)
 //
-// The three /admin engine endpoints operate on the optional EngineControl
+// The three /admin worker endpoints operate on the optional EngineControl
 // wired in with WithEngine (the easeml facade does this when the service is
 // configured with workers). Without one, /admin/metrics still reports the
 // scheduler counters and start/stop answer 409 Conflict. /admin/fleet
@@ -63,39 +63,30 @@ type API struct {
 	ready func() bool
 }
 
-// EngineControl is the engine surface the admin endpoints drive. It is an
-// interface so the server layer stays independent of the engine package
-// (which imports this one for the lease API); the easeml facade adapts
-// engine.Engine to it.
+// EngineControl is the in-process worker surface the admin endpoints
+// drive. It is an interface so the server layer stays independent of the
+// fleet package (which imports this one for the lease API); the easeml
+// facade adapts its in-process fleet agent to it.
 type EngineControl interface {
-	// Start launches the engine; it errors when already running.
+	// Start launches the workers; it errors when already running.
 	Start() error
-	// Stop gracefully drains and stops the engine; it errors when not
-	// running.
+	// Stop stops the workers, handing their leases back; it errors when
+	// not running.
 	Stop() error
-	// Status snapshots the engine counters.
+	// Status snapshots the worker counters.
 	Status() EngineStatus
 }
 
-// EngineWorkerStatus is the per-worker slice of EngineStatus.
-type EngineWorkerStatus struct {
-	Items  int64   `json:"items"`
-	BusyMS float64 `json:"busy_ms"`
-}
-
-// EngineStatus is the engine block of the metrics endpoint.
+// EngineStatus is the in-process worker block of the metrics endpoint.
+// Lease settlements by outcome and in-flight counts are not repeated here:
+// the fleet registry (GET /admin/fleet) and easeml_fleet_completes_total
+// report them for the in-process worker like for any other.
 type EngineStatus struct {
-	Running     bool                 `json:"running"`
-	Workers     int                  `json:"workers"`
-	Completed   int64                `json:"completed"`
-	Released    int64                `json:"released"`
-	Abandoned   int64                `json:"abandoned"`
-	Errors      int64                `json:"errors"`
-	InFlight    int                  `json:"in_flight"`
-	QueueDepth  int                  `json:"queue_depth"`
-	UptimeMS    float64              `json:"uptime_ms"`
-	Utilization float64              `json:"utilization"`
-	PerWorker   []EngineWorkerStatus `json:"per_worker,omitempty"`
+	Running     bool    `json:"running"`
+	Workers     int     `json:"workers"`
+	Completed   int64   `json:"completed"`
+	Errors      int64   `json:"errors"`
+	Utilization float64 `json:"utilization"`
 	// Virtual-time accounting of the simulated pool: the multi-device
 	// makespan of everything trained so far versus what the serialized
 	// single-device strategy would have taken (§5.3.2).
@@ -150,8 +141,8 @@ type FleetControl interface {
 // NewAPI wraps a scheduler.
 func NewAPI(sched *Scheduler) *API { return &API{sched: sched} }
 
-// WithEngine attaches an engine control to the admin surface and returns
-// the API for chaining.
+// WithEngine attaches the in-process worker control to the admin surface
+// and returns the API for chaining.
 func (a *API) WithEngine(ctrl EngineControl) *API {
 	a.engine = ctrl
 	return a
@@ -184,8 +175,8 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("/admin/rounds", a.handleRounds)
 	mux.HandleFunc("/admin/snapshot", a.handleSnapshot)
 	mux.HandleFunc("/admin/metrics", a.handleMetrics)
-	mux.HandleFunc("/admin/start", a.handleEngineStart)
-	mux.HandleFunc("/admin/stop", a.handleEngineStop)
+	mux.HandleFunc("/admin/start", a.handleEngineToggle(true))
+	mux.HandleFunc("/admin/stop", a.handleEngineToggle(false))
 	mux.HandleFunc("/admin/fleet", a.handleFleet)
 	mux.HandleFunc("/admin/quotas", a.handleQuotas)
 	mux.HandleFunc("/admin/traces", a.handleTraces)
@@ -545,34 +536,28 @@ type PlanCacheMetrics struct {
 	Candidates dsl.CacheStats `json:"candidates"`
 }
 
-func (a *API) handleEngineStart(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
+// handleEngineToggle serves POST /admin/start (running = true) and
+// POST /admin/stop; both answer 409 without workers or when the workers
+// are already in the requested state.
+func (a *API) handleEngineToggle(running bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !requirePost(w, r) {
+			return
+		}
+		if a.engine == nil {
+			WriteError(w, http.StatusConflict, errors.New("no in-process workers configured (run the server with workers)"))
+			return
+		}
+		toggle := a.engine.Stop
+		if running {
+			toggle = a.engine.Start
+		}
+		if err := toggle(); err != nil {
+			WriteError(w, http.StatusConflict, err)
+			return
+		}
+		WriteJSON(w, http.StatusOK, map[string]bool{"running": running})
 	}
-	if a.engine == nil {
-		WriteError(w, http.StatusConflict, errors.New("no engine configured (run the server with workers)"))
-		return
-	}
-	if err := a.engine.Start(); err != nil {
-		WriteError(w, http.StatusConflict, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]bool{"running": true})
-}
-
-func (a *API) handleEngineStop(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	if a.engine == nil {
-		WriteError(w, http.StatusConflict, errors.New("no engine configured (run the server with workers)"))
-		return
-	}
-	if err := a.engine.Stop(); err != nil {
-		WriteError(w, http.StatusConflict, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]bool{"running": false})
 }
 
 func (a *API) handleSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -81,7 +81,7 @@ func RouteLabel(r *http.Request) string {
 
 // handlePrometheus serves GET /metrics: the process-global telemetry
 // registry (histograms, counters minted at observation sites) followed by
-// gauges computed from live scheduler/engine/fleet/admission state at
+// gauges computed from live scheduler/fleet/admission state at
 // scrape time — scrape-time reads rather than registered GaugeFuncs, so
 // the exposition always reflects *this* API's scheduler even when tests
 // build several.
@@ -139,18 +139,6 @@ func (a *API) writeDynamicMetrics(w io.Writer) {
 	} {
 		telemetry.WriteGauge(w, "easeml_bandit_cache_events_total",
 			`{cache="`+row.cache+`",event="`+row.event+`"}`, float64(row.v))
-	}
-
-	if a.engine != nil {
-		st := a.engine.Status()
-		telemetry.WriteMetricHeader(w, "easeml_engine_runs_total",
-			"In-process engine lease settlements by outcome.", "counter")
-		telemetry.WriteGauge(w, "easeml_engine_runs_total", `{outcome="completed"}`, float64(st.Completed))
-		telemetry.WriteGauge(w, "easeml_engine_runs_total", `{outcome="released"}`, float64(st.Released))
-		telemetry.WriteGauge(w, "easeml_engine_runs_total", `{outcome="abandoned"}`, float64(st.Abandoned))
-		telemetry.WriteGauge(w, "easeml_engine_runs_total", `{outcome="error"}`, float64(st.Errors))
-		telemetry.WriteMetricHeader(w, "easeml_engine_utilization", "Engine worker utilization (0-1).", "gauge")
-		telemetry.WriteGauge(w, "easeml_engine_utilization", "", st.Utilization)
 	}
 
 	if a.fleet != nil {

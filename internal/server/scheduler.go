@@ -7,9 +7,10 @@
 // Scheduling is a two-phase API: PickWork leases (job, candidate) pairs —
 // chosen by the user picker with in-flight arms hallucinated GP-BUCB style —
 // and Complete feeds results back. RunRound drives it serialized (the
-// deployed single-device strategy); internal/engine drives it with a
-// concurrent worker pool. The HTTP surface (see API in http.go) adds
-// /admin/metrics and /admin/start|stop for engine control.
+// deployed single-device strategy); internal/fleet's Coordinator drives it
+// for concurrent workers, remote or in-process. The HTTP surface (see API
+// in http.go) adds /admin/metrics and /admin/start|stop for the in-process
+// workers.
 //
 // # Locking discipline
 //
@@ -57,8 +58,8 @@
 // sweeper) removes leases whose holder went silent, making their arms
 // selectable again — the candidate re-enters GP-BUCB selection exactly
 // once, because a late Complete/Release for an expired lease fails with
-// ErrLeaseConflict. A zero TTL (the default, and what the in-process
-// engine uses) means leases never expire.
+// ErrLeaseConflict. A zero TTL (the default, used when no coordinator is
+// attached) means leases never expire.
 package server
 
 import (
@@ -89,8 +90,8 @@ import (
 // accuracy plus the execution cost. EstimateCost must be stable and
 // strictly positive; the scheduler uses it for cost-aware selection before
 // the candidate ever runs. Implementations must be safe for concurrent use:
-// the execution engine calls Train from many workers at once, and a failed
-// run must surface as an error, never a panic (a panic inside an engine
+// in-process workers call Train from many goroutines at once, and a failed
+// run must surface as an error, never a panic (a panic inside a
 // worker would take down the whole server).
 type Trainer interface {
 	Train(jobID string, c templates.Candidate) (accuracy, cost float64, err error)
@@ -101,7 +102,7 @@ type Trainer interface {
 // accounted through a simulated GPU pool. By default every run takes the
 // whole pool (the deployed single-device strategy of §4.5); with Devices > 0
 // runs are packed one-GPU-each onto that many devices instead (the
-// multi-device strategy of §5.3.2, used by the execution engine).
+// multi-device strategy of §5.3.2, used by the in-process workers).
 type SimTrainer struct {
 	Pool *cluster.Pool
 	Seed int64
@@ -113,12 +114,12 @@ type SimTrainer struct {
 
 	// Delay, when positive, makes every Train call sleep that long. The
 	// simulated substrate is otherwise instantaneous; benchmarks use Delay
-	// to surface the engine's wall-clock concurrency.
+	// to surface the in-process workers' wall-clock concurrency.
 	Delay time.Duration
 
 	// mu is an RWMutex because the sims map is read-mostly: registration
 	// writes once per job, while every Train/EstimateCost from every
-	// concurrent engine worker only reads, so lookups proceed in parallel.
+	// concurrent worker only reads, so lookups proceed in parallel.
 	mu   sync.RWMutex
 	sims map[string]*simEntry
 }
@@ -133,14 +134,19 @@ func NewSimTrainer(pool *cluster.Pool, seed int64) *SimTrainer {
 	return &SimTrainer{Pool: pool, Seed: seed, sims: make(map[string]*simEntry)}
 }
 
+// ErrAlreadyRegistered is returned by SimTrainer.Register for a job id
+// that already has a simulator.
+var ErrAlreadyRegistered = errors.New("server: job already registered with trainer")
+
 // Register builds the per-job simulator for a candidate list. Candidate
 // training behaviour is derived deterministically from the job id and the
 // candidate name, so restarts reproduce the same quality surface.
+// Registering a job id twice fails with ErrAlreadyRegistered.
 func (st *SimTrainer) Register(jobID string, cands []templates.Candidate) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if _, ok := st.sims[jobID]; ok {
-		return fmt.Errorf("server: job %q already registered with trainer", jobID)
+		return fmt.Errorf("%w: %q", ErrAlreadyRegistered, jobID)
 	}
 	h := fnv.New64a()
 	h.Write([]byte(jobID))
@@ -307,18 +313,10 @@ type Scheduler struct {
 	legacySelection bool
 
 	// leaseTTL makes leases expire when their holder goes silent (0 = never,
-	// the in-process engine's mode); now is the injectable clock expiry runs
+	// the mode without a coordinator); now is the injectable clock expiry runs
 	// on. Both are set before serving traffic and read under coordMu.
 	leaseTTL time.Duration
 	now      func() time.Time
-
-	// failCounts tallies failed training runs per (job, arm). It lives here
-	// — not in the engine or the fleet coordinator — because both execute
-	// against the same scheduler: the abandon-after-MaxRetries livelock
-	// guard must count a candidate's failures across every execution path,
-	// or a candidate alternating between local and remote workers would get
-	// double the retry budget. Guarded by coordMu.
-	failCounts map[string]int
 
 	// adm is the optional admission controller (SetAdmission): quota,
 	// rate-limit and budget decisions for every tenant. Set before serving
@@ -342,55 +340,23 @@ func NewScheduler(trainer Trainer, picker core.UserPicker, serverAddr string) *S
 		serverAddr = "http://localhost:9000"
 	}
 	return &Scheduler{
-		store:      storage.NewStore(),
-		trainer:    trainer,
-		picker:     picker,
-		byID:       make(map[string]*Job),
-		server:     serverAddr,
-		leases:     make(map[int]*Lease),
-		failCounts: make(map[string]int),
-		now:        time.Now,
+		store:   storage.NewStore(),
+		trainer: trainer,
+		picker:  picker,
+		byID:    make(map[string]*Job),
+		server:  serverAddr,
+		leases:  make(map[int]*Lease),
+		now:     time.Now,
 	}
 }
 
-// NoteTrainingFailure records one failed training run for a (job, arm)
-// pair and returns the running count. The engine and the fleet coordinator
-// both feed it, so the abandon-after-N-failures decision sees every
-// execution path's failures.
-func (sc *Scheduler) NoteTrainingFailure(jobID string, arm int) int {
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	key := failKey(jobID, arm)
-	sc.failCounts[key]++
-	return sc.failCounts[key]
-}
-
-// TrainingFailures returns the recorded failed-run count for a (job, arm)
-// pair — a peek for callers that must decide release-vs-abandon before
-// settling (and only count the failure once the settle succeeds).
-func (sc *Scheduler) TrainingFailures(jobID string, arm int) int {
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	return sc.failCounts[failKey(jobID, arm)]
-}
-
-func failKey(jobID string, arm int) string { return fmt.Sprintf("%s#%d", jobID, arm) }
-
 // SetLeaseTTL makes every subsequently picked lease expire unless its
-// holder heartbeats within d (0 restores never-expiring leases). Set it
-// before serving remote workers; the in-process engine settles its leases
-// synchronously and runs without a TTL.
+// holder heartbeats within d (0 restores never-expiring leases). The fleet
+// coordinator sets it before serving any worker.
 func (sc *Scheduler) SetLeaseTTL(d time.Duration) {
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
 	sc.leaseTTL = d
-}
-
-// LeaseTTL returns the configured lease TTL (0 = leases never expire).
-func (sc *Scheduler) LeaseTTL() time.Duration {
-	sc.coordMu.Lock()
-	defer sc.coordMu.Unlock()
-	return sc.leaseTTL
 }
 
 // SetClock replaces the clock lease expiry runs on — tests drive expiry
@@ -440,9 +406,9 @@ func (sc *Scheduler) HeartbeatLease(id int) error {
 // passed: the lease leaves the table, so its arm re-enters GP-BUCB
 // selection — exactly once, because any late Complete/Release for it now
 // fails with ErrLeaseConflict. Leases mid-settlement are left alone (their
-// result is landing), as are unassigned leases — the in-process engine
-// settles its leases synchronously and has no heartbeat to keep them
-// alive, so expiry must never reclaim under a local worker mid-training.
+// result is landing), as are unassigned leases: the only ones are
+// RunRound's, which train synchronously with no heartbeat to keep them
+// alive, so expiry must never reclaim one mid-training.
 // With a WAL attached each expiry is logged, so the operational history
 // survives a crash. It returns the expired leases for registry
 // bookkeeping.
@@ -472,8 +438,8 @@ func (sc *Scheduler) ExpireLeases() ([]*Lease, error) {
 	return expired, nil
 }
 
-// Trainer returns the trainer the scheduler was built with, so an execution
-// engine can run the work it leases.
+// Trainer returns the trainer the scheduler was built with, so in-process
+// workers can run the work they lease.
 func (sc *Scheduler) Trainer() Trainer { return sc.trainer }
 
 // SetLog attaches a write-ahead log: every subsequent state mutation
@@ -698,9 +664,10 @@ type Lease struct {
 	// selected at; Complete feeds it into the σ̃ recurrence.
 	UCB float64
 
-	// Worker is the fleet worker the lease is assigned to (empty for the
-	// in-process engine); AssignLease sets it. Guarded by coordMu while the
-	// lease is outstanding.
+	// Worker is the fleet worker the lease is assigned to; AssignLease sets
+	// it. Every lease a worker holds, remote or in-process, has one; only
+	// RunRound's synchronous lease stays unassigned. Guarded by coordMu
+	// while the lease is outstanding.
 	Worker string
 	// Expires is the deadline after which ExpireLeases reclaims the lease;
 	// zero means the lease never expires. Stamped at pick time when a TTL
@@ -746,6 +713,29 @@ func (sc *Scheduler) InFlight() int {
 	sc.coordMu.Lock()
 	defer sc.coordMu.Unlock()
 	return len(sc.leases)
+}
+
+// Idle reports whether there is nothing left to train: no lease is
+// outstanding and no job has a selectable candidate. Once it holds, only a
+// new submission can create work; draining the in-process workers waits
+// for it.
+func (sc *Scheduler) Idle() bool {
+	jobs := sc.jobsSnapshot()
+	sc.coordMu.Lock()
+	defer sc.coordMu.Unlock()
+	if len(sc.leases) > 0 {
+		return false
+	}
+	for _, j := range jobs {
+		j.mu.Lock()
+		j.tenant.SetLeased(0)
+		active := j.failed == "" && !j.budgetExhausted && j.tenant.Active()
+		j.mu.Unlock()
+		if active {
+			return false
+		}
+	}
+	return true
 }
 
 // PickWork is the first phase of the scheduler's two-phase API: it leases
@@ -1201,7 +1191,7 @@ func (sc *Scheduler) Abandon(l *Lease) error {
 	return nil
 }
 
-// Release hands a lease back untrained (worker failure or engine drain);
+// Release hands a lease back untrained (worker failure or departure);
 // the arm becomes selectable again. It errors on a lease that is not
 // outstanding or mid-settlement.
 func (sc *Scheduler) Release(l *Lease) error {
@@ -1228,8 +1218,8 @@ func (sc *Scheduler) Release(l *Lease) error {
 
 // RunRound executes one multi-tenant scheduling round: pick a job, pick its
 // next candidate, train it, and record the result — the serialized
-// single-device path, built on the same two-phase API the engine drives
-// concurrently. It returns false when no job has untried candidates.
+// single-device path, built on the same two-phase API the fleet
+// coordinator drives concurrently. It returns false when no job has untried candidates.
 func (sc *Scheduler) RunRound() (bool, error) {
 	jobs := sc.jobsSnapshot()
 	sc.coordMu.Lock()
@@ -1403,7 +1393,7 @@ func (sc *Scheduler) Restore(r io.Reader) error {
 		return fmt.Errorf("server: Restore after %d rounds; restore into a fresh scheduler", sc.rounds)
 	}
 	if len(sc.leases) != 0 {
-		return fmt.Errorf("server: Restore with %d leases outstanding; drain the engine first", len(sc.leases))
+		return fmt.Errorf("server: Restore with %d leases outstanding; stop the workers first", len(sc.leases))
 	}
 	// The replay rewrites every bandit; any selection-index state built by
 	// earlier (empty) picks is stale wholesale.
